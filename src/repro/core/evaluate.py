@@ -26,7 +26,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..exceptions import RecoveryError
+from ..exceptions import DesignError, RecoveryError
 from ..obs import get_metrics, get_tracer
 from ..obs.provenance import EvaluationProvenance
 from ..scenarios.failures import FailureScenario
@@ -234,7 +234,11 @@ def evaluate_scenarios(
     """Evaluate one design against several scenarios.
 
     Returns ``{scenario description: assessment}`` in input order.
-    Validation, demand registration and utilization run once.
+    Validation, demand registration and utilization run once.  Equal
+    scenarios share one entry; two *unequal* scenarios with the same
+    description (it omits the object size) raise
+    :class:`~repro.exceptions.DesignError` rather than one silently
+    replacing the other.
     """
     tracer = get_tracer()
     metrics = get_metrics()
@@ -246,7 +250,14 @@ def evaluate_scenarios(
         results: "Dict[str, Assessment]" = {}
         for scenario in scenarios:
             metrics.inc("evaluate.scenarios")
-            results[scenario.describe()] = _assess(
+            label = scenario.describe()
+            earlier = results.get(label)
+            if earlier is not None and earlier.scenario != scenario:
+                raise DesignError(
+                    f"scenarios {earlier.scenario!r} and {scenario!r} share "
+                    f"the label {label!r}; evaluate them separately"
+                )
+            results[label] = _assess(
                 design,
                 workload,
                 scenario,

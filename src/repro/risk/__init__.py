@@ -13,8 +13,8 @@ distributions, and cross-checks the analytics by simulation:
 * :mod:`repro.risk.kofn` — the k-out-of-n redundancy model with
   deterministic repair (Aggarwal) that turns unit failure rates into
   per-scope effective rates;
-* :mod:`repro.risk.distributions` — exact compound-Poisson folding via
-  the Panjer recursion, with percentiles;
+* :mod:`repro.risk.distributions` — compound-Poisson folding by FFT
+  on a severity grid, with percentiles;
 * :mod:`repro.risk.aggregate` — :func:`assess_risk`, which evaluates
   every distinct scenario through :mod:`repro.engine` (content
   addressing dedupes generated ensembles; the result cache makes

@@ -9,12 +9,16 @@ and outage penalties from each :class:`~repro.core.results.Assessment`
 expected-downtime / expected-loss / expected-penalty distributions
 (:mod:`repro.risk.distributions`).
 
-Two properties make large generated ensembles cheap:
+Three properties make large generated ensembles cheap:
 
 * **content-addressed dedup** — members are grouped by the digest of
-  their scenario's canonical serialization, so a 1000-member ensemble
-  over 64 distinct scenarios costs 64 evaluations, and the engine's
-  result cache makes repeat runs nearly free;
+  their scenario's canonical serialization (computed once per member),
+  so a 1000-member ensemble over 64 distinct scenarios costs 64
+  evaluations, and the engine's result cache makes repeat runs nearly
+  free;
+* **one engine task per round** — a round's fresh scenarios go to the
+  engine together, so validation, demands and utilization run once per
+  round rather than once per scenario;
 * **two-round cascades** — cascade splits need the *evaluator's own*
   recovery time for the primary fault, so primaries are evaluated
   first, every :class:`~repro.risk.ensemble.CascadeSpec` is expanded
@@ -28,8 +32,9 @@ warm-cache runs — the property the CI ``risk`` job diffs for.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import math
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -178,8 +183,8 @@ def assess_risk(
     ``design`` is a built :class:`StorageDesign` or a zero-argument
     factory (the design-space convention).  ``samples > 0`` adds the
     seeded Monte Carlo cross-check.  ``config`` / ``cache`` ride the
-    existing engine fabric — workers, result cache, telemetry — and
-    never change the numbers.
+    existing engine fabric — result cache, telemetry; rounds run inline
+    whatever ``config.workers`` — and never change the numbers.
     """
     if not years > 0:
         raise RiskError(f"assessment horizon must be positive, got {years!r}")
@@ -196,26 +201,26 @@ def assess_risk(
 
         # Round 1: declared members plus every cascade's primary (the
         # recovery time of which sets the cascade probability).
-        first_round = [m.scenario for m in ensemble.members]
-        first_round.extend(c.primary for c in ensemble.cascades)
-        evaluate(first_round)
-
-        expanded: "List[Tuple[EnsembleMember, bool]]" = [
-            (m, False) for m in ensemble.members
+        expanded: "List[Tuple[str, EnsembleMember, bool]]" = [
+            (scenario_digest(m.scenario), m, False) for m in ensemble.members
         ]
-        for cascade in ensemble.cascades:
-            primary = assessments[scenario_digest(cascade.primary)]
-            expanded.extend(
-                (m, True) for m in cascade.split(primary.recovery_time)
-            )
+        primaries = [
+            (scenario_digest(c.primary), c.primary) for c in ensemble.cascades
+        ]
+        evaluate([(d, m.scenario) for d, m, _ in expanded] + primaries)
+
+        split: "List[EnsembleMember]" = []
+        for cascade, (digest, _) in zip(ensemble.cascades, primaries):
+            split.extend(cascade.split(assessments[digest].recovery_time))
+        escalated = [(scenario_digest(m.scenario), m, True) for m in split]
+        expanded.extend(escalated)
 
         # Round 2: escalated scenarios the splits introduced (already
         # in ``assessments`` if any declared member shares them).
-        evaluate([m.scenario for m, _ in expanded])
+        evaluate([(d, m.scenario) for d, m, _ in escalated])
 
         outcomes = []
-        for member, from_cascade in expanded:
-            digest = scenario_digest(member.scenario)
+        for digest, member, from_cascade in expanded:
             assessment = assessments[digest]
             outcomes.append(
                 MemberOutcome(
@@ -231,35 +236,18 @@ def assess_risk(
             )
         outcomes.sort(key=lambda outcome: outcome.member_id)
 
-        severity = {
-            "downtime": [], "loss": [], "penalty": [],
-        }  # type: Dict[str, List[Tuple[float, float]]]
-        rows: "List[SeverityRow]" = []
-        for outcome in outcomes:
-            rate = outcome.rate_per_year / YEAR
-            severity["downtime"].append((rate, outcome.recovery_time))
-            severity["loss"].append((rate, outcome.data_loss))
-            severity["penalty"].append((rate, outcome.penalty))
-            rows.append(
-                (
-                    outcome.member_id,
-                    rate,
-                    outcome.recovery_time,
-                    outcome.data_loss,
-                    outcome.penalty,
-                )
-            )
-
+        rows: "List[SeverityRow]" = [
+            (o.member_id, o.rate_per_year / YEAR, o.recovery_time,
+             o.data_loss, o.penalty)
+            for o in outcomes
+        ]
         with tracer.span("risk.fold", entries=len(outcomes)):
-            downtime = compound_poisson_distribution(
-                severity["downtime"], horizon, grid_bins
-            )
-            loss = compound_poisson_distribution(
-                severity["loss"], horizon, grid_bins
-            )
-            penalty = compound_poisson_distribution(
-                severity["penalty"], horizon, grid_bins
-            )
+            downtime, loss, penalty = [
+                compound_poisson_distribution(
+                    [(row[1], row[column]) for row in rows], horizon, grid_bins
+                )
+                for column in (2, 3, 4)
+            ]
 
         monte_carlo = None
         if samples > 0:
@@ -292,12 +280,15 @@ def _make_evaluator(
     config: "Optional[EngineConfig]",
     cache: "Optional[ResultCache]",
     assessments: "Dict[str, Assessment]",
-) -> "Callable[[Sequence[FailureScenario]], None]":
+) -> "Callable[[Sequence[Tuple[str, FailureScenario]]], None]":
     """An incremental evaluator that fills ``assessments`` by digest.
 
-    Each call evaluates only scenarios whose digest is still unknown —
-    one engine task per *unique* scenario, named ``risk:{digest}`` so
-    run ledgers and traces attribute work to content, not member ids.
+    Each call takes ``(digest, scenario)`` pairs and evaluates the
+    still-unknown digests as one engine task per round, named
+    ``risk:round-{n}``, inline (a pool gains nothing on one task).
+    Results map back by position: distinct scenarios may share a
+    ``describe()`` label, which one task refuses, so each such
+    scenario goes to a further task ``risk:round-{n}.{i}``.
     """
     if isinstance(design, StorageDesign):
         task_design: "Optional[StorageDesign]" = design
@@ -309,33 +300,39 @@ def _make_evaluator(
         raise RiskError(
             f"design must be a StorageDesign or a factory, got {design!r}"
         )
+    config = dataclasses.replace(config or EngineConfig(), workers=1)
+    rounds = itertools.count(1)
 
-    def evaluate(scenarios: "Sequence[FailureScenario]") -> None:
-        fresh: "Dict[str, FailureScenario]" = {}
-        for scenario in scenarios:
-            digest = scenario_digest(scenario)
-            if digest not in assessments and digest not in fresh:
-                fresh[digest] = scenario
-        if not fresh:
-            return
+    def evaluate(pairs: "Sequence[Tuple[str, FailureScenario]]") -> None:
+        round_no = next(rounds)
+        fresh = {d: s for d, s in pairs if d not in assessments}
+        batches: "List[Dict[str, str]]" = []  # label -> digest
+        for digest, scenario in fresh.items():
+            label = scenario.describe()
+            batch = next((b for b in batches if label not in b), {})
+            if not batch:
+                batches.append(batch)
+            batch[label] = digest
         tasks = [
             EvaluationTask(
-                name=f"risk:{digest}",
+                name=f"risk:round-{round_no}" + (f".{i}" if i else ""),
                 workload=workload,
-                scenarios=(scenario,),
+                scenarios=tuple(fresh[digest] for digest in batch.values()),
                 requirements=requirements,
                 design=task_design,
                 factory=factory,
             )
-            for digest, scenario in fresh.items()
+            for i, batch in enumerate(batches)
         ]
+        if not tasks:
+            return
         outcomes = map_evaluations(tasks, config, cache, label="risk")
-        for (digest, scenario), outcome in zip(fresh.items(), outcomes):
+        for batch, outcome in zip(batches, outcomes):
             if not outcome.ok:
                 error = outcome.error
                 assert error is not None
                 raise error
-            assessments[digest] = outcome.value[scenario.describe()]
+            assessments.update(zip(batch.values(), outcome.value.values()))
 
     return evaluate
 

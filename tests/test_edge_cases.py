@@ -4,7 +4,13 @@ import pytest
 
 import repro
 from repro import casestudy
-from repro.exceptions import CapacityExceededError, BandwidthExceededError
+from repro.design import DesignSpace, candidate_designs, optimize
+from repro.exceptions import (
+    BandwidthExceededError,
+    CapacityExceededError,
+    DesignError,
+    OptimizationError,
+)
 from repro.reporting import whatif_report
 from repro.reporting.charts import stacked_bar_chart
 from repro.scenarios import FailureScope
@@ -159,3 +165,43 @@ class TestWorkloadEdges:
         # Exactly at the samples, interpolation must be exact.
         for window, rate in curve.points:
             assert curve.unique_bytes(window) == pytest.approx(window * rate)
+
+
+class TestScenarioLabelCollision:
+    """Distinct scenarios sharing one ``describe()`` label (it omits the
+    object size) used to collapse into one result entry, silently
+    dropping the other scenario and making the outcome order-dependent."""
+
+    @staticmethod
+    def objects(*sizes):
+        return [
+            repro.FailureScenario.object_corruption(size, "24 hr")
+            for size in sizes
+        ]
+
+    @pytest.mark.parametrize("sizes", [("1 MB", "500 GB"), ("500 GB", "1 MB")])
+    def test_evaluate_scenarios_refuses_both_orders(self, sizes):
+        scenarios = self.objects(*sizes)
+        with pytest.raises(DesignError) as info:
+            repro.evaluate_scenarios(
+                casestudy.baseline_design(), cello(), scenarios,
+                casestudy.case_study_requirements(),
+            )
+        message = str(info.value)
+        assert repr(scenarios[0]) in message
+        assert repr(scenarios[1]) in message
+
+    @pytest.mark.parametrize("sizes", [("1 MB", "500 GB"), ("500 GB", "1 MB")])
+    def test_optimize_reports_the_collision_both_orders(self, sizes):
+        with pytest.raises(OptimizationError, match="share the label"):
+            optimize(
+                candidate_designs(DesignSpace()), cello(), self.objects(*sizes),
+                casestudy.case_study_requirements(),
+            )
+
+    def test_equal_duplicates_keep_one_entry(self):
+        results = repro.evaluate_scenarios(
+            casestudy.baseline_design(), cello(), self.objects("1 MB", "1 MB"),
+            casestudy.case_study_requirements(),
+        )
+        assert len(results) == 1

@@ -5,22 +5,27 @@ The load-bearing contracts:
 * a one-member, 1-per-year ensemble reproduces the deterministic
   ``evaluate`` result exactly (the degenerate anchor);
 * cascade and correlation splits conserve total rate;
-* the analytic compound-Poisson fold matches the seeded Monte Carlo
-  cross-check within grid resolution;
+* the analytic compound-Poisson fold (FFT) matches the exact Panjer
+  recursion on the grid, and the seeded Monte Carlo cross-check within
+  grid resolution;
 * the JSON report is byte-identical across serial, parallel, factory
   and warm-cache runs.
 """
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import casestudy
 from repro.core.evaluate import evaluate
 from repro.engine import EngineConfig, ResultCache
 from repro.exceptions import DesignError, ReproError, RiskError
+from repro.obs import MetricsRegistry, use_metrics
 from repro.risk import (
     CascadeSpec,
     EnsembleMember,
@@ -37,6 +42,8 @@ from repro.risk import (
     scenario_digest,
     simulated_loss_check,
 )
+from repro.risk import aggregate, distributions
+from repro.risk.distributions import NORMAL_APPROX_INTENSITY, PERCENTILES
 from repro.scenarios import FailureScenario
 from repro.serialization import (
     canonical_json,
@@ -324,6 +331,88 @@ class TestCompoundPoisson:
             dist.quantile("p17")
 
 
+def _panjer(lam, severity_mass):
+    """The Panjer recursion for a compound Poisson on a grid.
+
+    The exact oracle for the FFT fold: ``g_0 = exp(-lam * (1 - f_0))``
+    and ``g_j = (lam / j) * sum_{i=1..j} i * f_i * g_{j-i}``.
+    """
+    bins = severity_mass.shape[0]
+    total = np.zeros(bins)
+    total[0] = math.exp(-lam * (1.0 - severity_mass[0]))
+    weighted = severity_mass * np.arange(bins)
+    for j in range(1, bins):
+        total[j] = (lam / j) * float(
+            np.dot(weighted[1 : j + 1], total[j - 1 :: -1])
+        )
+    return total
+
+
+@st.composite
+def severity_sets(draw):
+    """Rated severities (zero and infinite ones too) over one year, at
+    a combined intensity up to the normal-approximation switch."""
+    severities = draw(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.just(math.inf),
+                st.floats(min_value=1e-3, max_value=1e7),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    weights = draw(
+        st.lists(
+            st.floats(min_value=0.01, max_value=1.0),
+            min_size=len(severities),
+            max_size=len(severities),
+        )
+    )
+    intensity = draw(
+        st.floats(min_value=1e-4, max_value=NORMAL_APPROX_INTENSITY)
+    )
+    bins = draw(st.sampled_from((2, 16, 256, 2048)))
+    scale = intensity / sum(weights) / YEAR
+    entries = [(w * scale, s) for w, s in zip(weights, severities)]
+    return entries, bins
+
+
+class TestFoldOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(case=severity_sets())
+    def test_fft_fold_matches_panjer(self, case):
+        entries, bins = case
+        folds = []
+        fft_fold = distributions._fold
+
+        def recording(lam, severity_mass):
+            fft = fft_fold(lam, severity_mass)
+            folds.append((fft, _panjer(lam, severity_mass)))
+            return fft
+
+        with mock.patch.object(distributions, "_fold", recording):
+            fft = compound_poisson_distribution(entries, YEAR, bins)
+        with mock.patch.object(distributions, "_fold", _panjer):
+            exact = compound_poisson_distribution(entries, YEAR, bins)
+
+        assert fft.mean == exact.mean
+        for fft_mass, exact_mass in folds:
+            assert np.max(np.abs(fft_mass - exact_mass)) <= 1e-12
+        lam_inf = sum(r for r, s in entries if not math.isfinite(s)) * YEAR
+        p_finite = math.exp(-lam_inf)
+        for label, prob in PERCENTILES:
+            if fft.quantile(label) == exact.quantile(label):
+                continue
+            # Only a genuine tie may differ: the oracle's CDF sits within
+            # rounding of the (conditional) probability searched for.
+            assert len(folds) == 1
+            cdf = np.cumsum(folds[0][1])
+            target = min(1.0, prob / p_finite)
+            assert np.min(np.abs(cdf - target)) <= 1e-12
+
+
 class TestEmpiricalDistribution:
     def test_inverted_cdf_quantiles(self):
         samples = np.arange(10, dtype=float)
@@ -451,6 +540,63 @@ class TestAssessRisk:
             assessment.total_rate_per_year, rel=1e-12
         )
         assert total == pytest.approx(1.2, rel=1e-12)
+
+    def test_one_task_per_round_and_one_digest_per_member(
+        self, baseline, workload, requirements
+    ):
+        grid = object_corruption_grid(50, 6.0, distinct_ages=5)
+        cascade = CascadeSpec(
+            "site-during-recovery", array(), 0.2 / YEAR, site(),
+            secondary_rate=0.5 / YEAR,
+        )
+        ensemble = ScenarioEnsemble(
+            "rounds",
+            grid.members + (EnsembleMember.per_year("arr", array(), 1.0),),
+            (cascade,),
+        )
+        registry = MetricsRegistry()
+        digests = mock.Mock(wraps=scenario_digest)
+        with use_metrics(registry), mock.patch.object(
+            aggregate, "scenario_digest", digests
+        ):
+            assessment = assess_risk(baseline, workload, ensemble, requirements)
+        counters = registry.snapshot()["counters"]
+        # Round 1: 5 grid ages + the array; round 2: the escalated site.
+        assert assessment.unique_scenarios == 7
+        assert counters["engine.tasks"] == 2
+        assert counters["evaluate.calls"] == 2
+        # One digest per declared member, primary and split member.
+        assert digests.call_count == 51 + 1 + 2
+        assert len(assessment.members) == 53
+
+    def test_members_differing_only_in_object_size_stay_apart(
+        self, baseline, workload, requirements
+    ):
+        small = FailureScenario.object_corruption(1 * MB, 24 * HOUR)
+        large = FailureScenario.object_corruption("500 GB", 24 * HOUR)
+        assert small.describe() == large.describe()
+        ensemble = ScenarioEnsemble(
+            "sizes",
+            (
+                EnsembleMember.per_year("small", small, 1.0),
+                EnsembleMember.per_year("large", large, 1.0),
+                EnsembleMember.per_year("arr", array(), 1.0),
+            ),
+        )
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            assessment = assess_risk(baseline, workload, ensemble, requirements)
+        # The colliding label goes to a second task of the same round.
+        assert registry.snapshot()["counters"]["engine.tasks"] == 2
+        assert assessment.unique_scenarios == 3
+        outcomes = {m.member_id: m for m in assessment.members}
+        for member_id, scenario in (("small", small), ("large", large)):
+            expected = degenerate_assessment(
+                evaluate(baseline, workload, scenario, requirements),
+                member_id,
+            )
+            assert _same_outcome(outcomes[member_id], expected)
+        assert outcomes["small"].recovery_time < outcomes["large"].recovery_time
 
     def test_serial_parallel_factory_and_cache_byte_identical(
         self, baseline, workload, requirements, tmp_path
