@@ -16,7 +16,7 @@ loss times the loss penalty rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from ..obs import get_metrics, get_tracer
 from ..scenarios.requirements import BusinessRequirements
@@ -101,12 +101,15 @@ def compute_costs(
     requirements: BusinessRequirements,
     loss: Optional[DataLossResult] = None,
     plan: Optional[RecoveryPlan] = None,
+    outlays: "Optional[Mapping[str, float]]" = None,
 ) -> CostBreakdown:
     """Outlays plus the penalties of the evaluated failure scenario.
 
     Either result may be omitted (e.g. when only normal-mode costs are
     wanted); missing results contribute zero penalty.  A total-loss
     scenario has an unbounded loss penalty, represented as ``inf``.
+    ``outlays`` is the design's :func:`compute_outlays`, computed here
+    when omitted; the breakdown always holds its own copy.
     """
     tracer = get_tracer()
     with tracer.span("cost.compute", design=design.name) as span:
@@ -120,7 +123,9 @@ def compute_costs(
             else:
                 loss_penalty = requirements.loss_penalty(loss.data_loss)
         breakdown = CostBreakdown(
-            outlays_by_technique=compute_outlays(design),
+            outlays_by_technique=(
+                compute_outlays(design) if outlays is None else dict(outlays)
+            ),
             outage_penalty=outage_penalty,
             loss_penalty=loss_penalty,
         )

@@ -22,7 +22,7 @@ lost in its entirety.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..exceptions import RecoveryError
 from ..scenarios.failures import FailureScenario
@@ -96,11 +96,23 @@ def level_range(design: StorageDesign, level: Level) -> LevelRange:
     )
 
 
+def design_ranges(design: StorageDesign) -> "Dict[int, LevelRange]":
+    """Every secondary level's Figure 3 range, keyed by level index.
+
+    A range depends on the design alone (its techniques' windows and the
+    upstream delays), not on the failure scenario, so one evaluation
+    computes it once and every scenario reads it.
+    """
+    return {
+        level.index: level_range(design, level)
+        for level in design.secondary_levels()
+    }
+
+
 def _loss_for_level(
-    design: StorageDesign, level: Level, target_age: float
+    level: Level, rng: LevelRange, target_age: float
 ) -> Optional[float]:
     """Worst-case loss using this level, or None when it cannot serve."""
-    rng = level_range(design, level)
     if target_age < rng.newest_age:
         # Case 1: the wanted RP hasn't propagated here yet; restore the
         # newest RP present and lose the level's whole time lag.
@@ -114,34 +126,39 @@ def _loss_for_level(
 
 
 def find_recovery_source(
-    design: StorageDesign, scenario: FailureScenario
+    design: StorageDesign,
+    scenario: FailureScenario,
+    ranges: "Optional[Mapping[int, LevelRange]]" = None,
 ) -> DataLossResult:
     """Pick the recovery source level and its worst-case data loss.
 
     Surviving levels are considered closest-first (they hold the most
     recent RPs on the fastest media).  A level whose guaranteed range
     has expired past the target is skipped; if every level has, the
-    object is a total loss.
+    object is a total loss.  ``ranges`` is the design's
+    :func:`design_ranges`, computed here when omitted.
     """
+    if ranges is None:
+        ranges = design_ranges(design)
     target_age = scenario.recovery_target_age
     survivors = design.surviving_levels(scenario)
-    ranges = tuple(level_range(design, level) for level in survivors)
-    for level in survivors:
-        loss = _loss_for_level(design, level, target_age)
+    survivor_ranges = tuple(ranges[level.index] for level in survivors)
+    for level, rng in zip(survivors, survivor_ranges):
+        loss = _loss_for_level(level, rng, target_age)
         if loss is not None:
             return DataLossResult(
                 source_level=level,
                 data_loss=loss,
                 total_loss=False,
                 target_age=target_age,
-                ranges=ranges,
+                ranges=survivor_ranges,
             )
     return DataLossResult(
         source_level=None,
         data_loss=float("inf"),
         total_loss=True,
         target_age=target_age,
-        ranges=ranges,
+        ranges=survivor_ranges,
     )
 
 
@@ -149,14 +166,16 @@ def compute_data_loss(
     design: StorageDesign,
     scenario: FailureScenario,
     allow_total_loss: bool = True,
+    ranges: "Optional[Mapping[int, LevelRange]]" = None,
 ) -> DataLossResult:
     """Worst-case recent data loss for the scenario.
 
     With ``allow_total_loss=False`` an unrecoverable scenario raises
     :class:`~repro.exceptions.RecoveryError` instead of returning an
-    infinite loss.
+    infinite loss.  ``ranges`` is passed on to
+    :func:`find_recovery_source`.
     """
-    result = find_recovery_source(design, scenario)
+    result = find_recovery_source(design, scenario, ranges)
     if result.total_loss and not allow_total_loss:
         raise RecoveryError(
             f"design {design.name!r} retains no RP usable for "

@@ -10,8 +10,12 @@ failure scenario and set of business requirements:
 5. build the recovery plan and its worst-case recovery time;
 6. price outlays and penalties.
 
-:func:`evaluate_scenarios` amortizes steps 1–3 across several scenarios
-(the case study evaluates object / array / site failures of one design).
+:func:`evaluate_scenarios` amortizes the scenario-independent
+*normal-mode stage* across several scenarios (the case study evaluates
+object / array / site failures of one design): steps 1–3 plus each
+secondary level's guaranteed RP range (Figure 3) and the design's
+outlays, all fixed by the design and workload.  Steps 4–6 then read
+the stage for every scenario.  The stage lives for one call only.
 
 Every step emits spans and metrics through :mod:`repro.obs` (no-ops
 unless a tracer/registry is installed), and each returned
@@ -23,8 +27,9 @@ which used to be swallowed silently.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..exceptions import DesignError, RecoveryError
 from ..obs import get_metrics, get_tracer
@@ -32,8 +37,8 @@ from ..obs.provenance import EvaluationProvenance
 from ..scenarios.failures import FailureScenario
 from ..scenarios.requirements import BusinessRequirements
 from ..workload.spec import Workload
-from .cost import compute_costs
-from .dataloss import compute_data_loss
+from .cost import compute_costs, compute_outlays
+from .dataloss import LevelRange, compute_data_loss, design_ranges
 from .demands import register_design_demands
 from .hierarchy import StorageDesign
 from .recovery import RecoveryPlan, plan_recovery
@@ -49,16 +54,27 @@ def _utilization_driver(utilization: SystemUtilization) -> str:
     return f"capacity of {utilization.max_capacity_device}"
 
 
+@dataclass(frozen=True)
+class _NormalMode:
+    """The scenario-independent stage of one evaluation call.
+
+    ``phase_ms`` holds the stage's per-phase timings (empty unless
+    tracing); every assessment of the call starts from a copy.
+    """
+
+    utilization: SystemUtilization
+    warnings: "Tuple[str, ...]"
+    ranges: "Mapping[int, LevelRange]"
+    outlays: "Mapping[str, float]"
+    phase_ms: "Mapping[str, float]"
+
+
 def _prepare(
     design: StorageDesign,
     workload: Workload,
     strict_utilization: bool,
-) -> "Tuple[SystemUtilization, List[str], Dict[str, float]]":
-    """Shared steps 1–3: validate, register demands, utilization.
-
-    Returns the utilization, the validation warnings and (when tracing)
-    the per-phase wall-clock timings in milliseconds.
-    """
+) -> _NormalMode:
+    """The normal-mode stage: steps 1–3, level ranges and outlays."""
     tracer = get_tracer()
     timed = tracer.enabled
     phase_ms: "Dict[str, float]" = {}
@@ -80,7 +96,13 @@ def _prepare(
     utilization = compute_utilization(design, strict=strict_utilization)
     if timed:
         phase_ms["utilization"] = (perf_counter() - t0) * 1e3
-    return utilization, warnings, phase_ms
+    return _NormalMode(
+        utilization=utilization,
+        warnings=tuple(warnings),
+        ranges=design_ranges(design),
+        outlays=compute_outlays(design),
+        phase_ms=phase_ms,
+    )
 
 
 def _assess(
@@ -88,21 +110,21 @@ def _assess(
     workload: Workload,
     scenario: FailureScenario,
     requirements: BusinessRequirements,
-    utilization: SystemUtilization,
-    validation_warnings: "Iterable[str]" = (),
-    shared_phase_ms: "Optional[Dict[str, float]]" = None,
+    stage: _NormalMode,
 ) -> Assessment:
     """Steps 4–6 for one scenario, given the shared normal-mode state."""
     tracer = get_tracer()
     metrics = get_metrics()
     timed = tracer.enabled
-    phase_ms: "Dict[str, float]" = dict(shared_phase_ms or {})
+    phase_ms: "Dict[str, float]" = dict(stage.phase_ms)
     metrics.inc("evaluate.assessments")
 
     with tracer.span("assess", scenario=scenario.describe()) as span:
         if timed:
             t0 = perf_counter()
-        loss = compute_data_loss(design, scenario, allow_total_loss=True)
+        loss = compute_data_loss(
+            design, scenario, allow_total_loss=True, ranges=stage.ranges
+        )
         if timed:
             phase_ms["dataloss"] = (perf_counter() - t0) * 1e3
 
@@ -128,7 +150,9 @@ def _assess(
 
         if timed:
             t0 = perf_counter()
-        costs = compute_costs(design, requirements, loss=loss, plan=plan)
+        costs = compute_costs(
+            design, requirements, loss=loss, plan=plan, outlays=stage.outlays
+        )
         if timed:
             phase_ms["cost"] = (perf_counter() - t0) * 1e3
 
@@ -162,7 +186,7 @@ def _assess(
         dominant_penalty = None
     if dominant_outlay is not None:
         decisions.append(f"dominant outlay: {dominant_outlay}")
-    warnings = tuple(validation_warnings)
+    warnings = stage.warnings
     if warnings:
         decisions.append(f"{len(warnings)} validation warning(s)")
 
@@ -179,7 +203,7 @@ def _assess(
         ),
         recovery_failure=recovery_failure,
         total_loss=loss.total_loss,
-        utilization_driver=_utilization_driver(utilization),
+        utilization_driver=_utilization_driver(stage.utilization),
         dominant_outlay=dominant_outlay,
         dominant_penalty=dominant_penalty,
         phase_ms=phase_ms,
@@ -189,7 +213,7 @@ def _assess(
         design_name=design.name,
         scenario=scenario,
         requirements=requirements,
-        utilization=utilization,
+        utilization=stage.utilization,
         data_loss=loss,
         recovery=plan,
         costs=costs,
@@ -210,18 +234,8 @@ def evaluate(
     with tracer.span(
         "evaluate", design=design.name, scenario=scenario.describe()
     ):
-        utilization, warnings, phase_ms = _prepare(
-            design, workload, strict_utilization
-        )
-        return _assess(
-            design,
-            workload,
-            scenario,
-            requirements,
-            utilization,
-            validation_warnings=warnings,
-            shared_phase_ms=phase_ms,
-        )
+        stage = _prepare(design, workload, strict_utilization)
+        return _assess(design, workload, scenario, requirements, stage)
 
 
 def evaluate_scenarios(
@@ -234,7 +248,8 @@ def evaluate_scenarios(
     """Evaluate one design against several scenarios.
 
     Returns ``{scenario description: assessment}`` in input order.
-    Validation, demand registration and utilization run once.  Equal
+    The normal-mode stage (validation, demand registration,
+    utilization, level ranges and outlays) runs once.  Equal
     scenarios share one entry; two *unequal* scenarios with the same
     description (it omits the object size) raise
     :class:`~repro.exceptions.DesignError` rather than one silently
@@ -244,9 +259,7 @@ def evaluate_scenarios(
     metrics = get_metrics()
     metrics.inc("evaluate.calls")
     with tracer.span("evaluate_scenarios", design=design.name):
-        utilization, warnings, phase_ms = _prepare(
-            design, workload, strict_utilization
-        )
+        stage = _prepare(design, workload, strict_utilization)
         results: "Dict[str, Assessment]" = {}
         for scenario in scenarios:
             metrics.inc("evaluate.scenarios")
@@ -258,12 +271,6 @@ def evaluate_scenarios(
                     f"the label {label!r}; evaluate them separately"
                 )
             results[label] = _assess(
-                design,
-                workload,
-                scenario,
-                requirements,
-                utilization,
-                validation_warnings=warnings,
-                shared_phase_ms=phase_ms,
+                design, workload, scenario, requirements, stage
             )
         return results

@@ -21,7 +21,7 @@ from typing import List, Optional
 from ..exceptions import RecoveryError
 from ..scenarios.failures import FailureScenario
 from ..workload.spec import Workload
-from .dataloss import DataLossResult, _loss_for_level, level_range
+from .dataloss import DataLossResult, _loss_for_level, design_ranges
 from .hierarchy import Level, StorageDesign
 from .recovery import RecoveryPlan, plan_recovery
 
@@ -58,9 +58,10 @@ def recovery_options(
     """
     options: "List[RecoveryOption]" = []
     survivors = design.surviving_levels(scenario)
-    ranges = tuple(level_range(design, level) for level in survivors)
-    for level in survivors:
-        loss = _loss_for_level(design, level, scenario.recovery_target_age)
+    by_index = design_ranges(design)
+    ranges = tuple(by_index[level.index] for level in survivors)
+    for level, rng in zip(survivors, ranges):
+        loss = _loss_for_level(level, rng, scenario.recovery_target_age)
         if loss is None:
             continue
         loss_result = DataLossResult(

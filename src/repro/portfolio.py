@@ -34,7 +34,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core.dataloss import DataLossResult, compute_data_loss
+from .core.dataloss import DataLossResult, LevelRange, compute_data_loss, design_ranges
 from .core.demands import register_design_demands
 from .core.hierarchy import StorageDesign
 from .core.recovery import RecoveryPlan, plan_recovery
@@ -204,6 +204,44 @@ class Portfolio:
             max_bandwidth_device=max_bw_dev,
         )
 
+    def _normal_mode(
+        self, strict_utilization: bool
+    ) -> "Tuple[SystemUtilization, Dict[str, Dict[int, LevelRange]]]":
+        """The scenario-independent stage of one evaluation.
+
+        Validates every design, registers demands jointly and computes
+        utilization; also returns each object's level ranges by object
+        name (they depend on its design alone).
+        """
+        for obj in self._objects.values():
+            validate_design(obj.design, obj.workload, strict=True)
+        self.register_demands()
+        utilization = self.utilization()
+        if strict_utilization:
+            utilization.raise_if_overcommitted()
+        ranges = {
+            obj.name: design_ranges(obj.design) for obj in self._objects.values()
+        }
+        return utilization, ranges
+
+    @staticmethod
+    def _loss_and_plan(
+        obj: ProtectedObject,
+        scenario: FailureScenario,
+        ranges: "Dict[int, LevelRange]",
+    ) -> "Tuple[DataLossResult, Optional[RecoveryPlan]]":
+        """One object's worst-case loss and recovery plan (None if none)."""
+        loss = compute_data_loss(
+            obj.design, scenario, allow_total_loss=True, ranges=ranges
+        )
+        if loss.total_loss:
+            return loss, None
+        try:
+            plan = plan_recovery(obj.design, scenario, obj.workload, loss_result=loss)
+        except RecoveryError:
+            return loss, None
+        return loss, plan
+
     # -- recovery scheduling ----------------------------------------------------------
 
     def _topological_order(self) -> "List[ProtectedObject]":
@@ -228,27 +266,14 @@ class Portfolio:
         time (a single recovery crew / shared restore pipe); the default
         lets independent objects restore in parallel.
         """
-        for obj in self._objects.values():
-            validate_design(obj.design, obj.workload, strict=True)
-        self.register_demands()
-        utilization = self.utilization()
-        if strict_utilization:
-            utilization.raise_if_overcommitted()
+        utilization, ranges = self._normal_mode(strict_utilization)
 
         outcomes: "Dict[str, ObjectOutcome]" = {}
         outage_penalty = 0.0
         loss_penalty = 0.0
         serial_clock = 0.0
         for obj in self._topological_order():
-            loss = compute_data_loss(obj.design, scenario, allow_total_loss=True)
-            plan: Optional[RecoveryPlan] = None
-            if not loss.total_loss:
-                try:
-                    plan = plan_recovery(
-                        obj.design, scenario, obj.workload, loss_result=loss
-                    )
-                except RecoveryError:
-                    plan = None
+            loss, plan = self._loss_and_plan(obj, scenario, ranges[obj.name])
             dependency_finish = max(
                 (outcomes[d].recovery_finish for d in obj.depends_on),
                 default=0.0,
@@ -344,12 +369,7 @@ class Portfolio:
         """
         from .simulation.recovery_sim import RecoverySimulator, TransferSpec
 
-        for obj in self._objects.values():
-            validate_design(obj.design, obj.workload, strict=True)
-        self.register_demands()
-        utilization = self.utilization()
-        if strict_utilization:
-            utilization.raise_if_overcommitted()
+        utilization, ranges = self._normal_mode(strict_utilization)
 
         # Device envelopes and background demands for the simulator; the
         # source-read efficiency folds into each transfer's nominal rate.
@@ -381,15 +401,9 @@ class Portfolio:
             for obj in self._topological_order():
                 if depth[obj.name] != layer:
                     continue
-                loss = compute_data_loss(obj.design, scenario, allow_total_loss=True)
-                plan: Optional[RecoveryPlan] = None
-                if not loss.total_loss:
-                    try:
-                        plan = plan_recovery(
-                            obj.design, scenario, obj.workload, loss_result=loss
-                        )
-                    except RecoveryError:
-                        plan = None
+                loss, plan = self._loss_and_plan(
+                    obj, scenario, ranges[obj.name]
+                )
                 offset = max(
                     (finish_times[d] for d in obj.depends_on), default=0.0
                 )

@@ -1,19 +1,62 @@
 """Recent data loss and recovery-source selection (sections 3.3.2-3.3.3)."""
 
+import importlib
+from unittest import mock
+
 import pytest
 
 from repro import casestudy
-from repro.core import StorageDesign, compute_data_loss, find_recovery_source
-from repro.core.dataloss import level_range
+from repro.core import (
+    StorageDesign,
+    compute_data_loss,
+    evaluate,
+    evaluate_scenarios,
+    find_recovery_source,
+)
+from repro.core import cost, dataloss
+from repro.core.dataloss import design_ranges, level_range
 from repro.core.demands import register_design_demands
+from repro.design.space import DesignSpace, candidate_designs
 from repro.devices import SpareConfig
 from repro.devices.catalog import midrange_disk_array, oc3_links
 from repro.exceptions import RecoveryError
 from repro.scenarios import FailureScenario
+from repro.serialization import assessment_to_dict, canonical_json
 from repro.scenarios.locations import PRIMARY_SITE, REMOTE_SITE
 from repro.techniques import PrimaryCopy, SyncMirror
 from repro.units import DAY, HOUR, MB, WEEK, YEAR
 from repro.workload.presets import cello
+
+# ``repro.core.evaluate`` the module; the package attribute is the function.
+evaluate_module = importlib.import_module("repro.core.evaluate")
+
+
+def _stage_scenarios(design):
+    """Corruptions before, inside and beyond every level's range, plus
+    array, building and site failures, one per report label."""
+    scenarios = [
+        FailureScenario.array_failure(),
+        FailureScenario.building_disaster(),
+        FailureScenario.site_disaster(),
+    ]
+    for rng in design_ranges(design).values():
+        for age in (
+            rng.newest_age / 2,
+            (rng.newest_age + rng.oldest_age) / 2,
+            rng.oldest_age,
+            rng.oldest_age * 1.25 + HOUR,
+        ):
+            scenarios.append(FailureScenario.object_corruption(1 * MB, age))
+    by_label = {}
+    for scenario in scenarios:
+        by_label.setdefault(scenario.describe(), scenario)
+    return list(by_label.values())
+
+
+def _without_timings(assessment):
+    data = assessment_to_dict(assessment)
+    data["provenance"].pop("phase_ms")
+    return canonical_json(data)
 
 
 @pytest.fixture
@@ -135,3 +178,69 @@ class TestEdgeCases:
         )
         assert len(result.ranges) == 1  # only the vault survives
         assert result.ranges[0].technique_name == "remote vaulting"
+
+
+class TestNormalModeStage:
+    """``evaluate_scenarios`` computes ranges and outlays once per call."""
+
+    def test_staged_results_match_the_unstaged_oracle(self):
+        workload = cello()
+        requirements = casestudy.case_study_requirements()
+        factories = candidate_designs(DesignSpace())
+        assert len(factories) == 16
+        cases = set()
+        for name, factory in factories.items():
+            design = factory()
+            scenarios = _stage_scenarios(design)
+            staged = evaluate_scenarios(
+                design, workload, scenarios, requirements
+            )
+            assert len(staged) == len(scenarios)
+            for scenario in scenarios:
+                assessment = staged[scenario.describe()]
+                oracle = find_recovery_source(design, scenario)
+                assert assessment.data_loss == oracle, (name, scenario)
+                assert assessment.data_loss.ranges == oracle.ranges == tuple(
+                    level_range(design, level)
+                    for level in design.surviving_levels(scenario)
+                )
+                assert assessment.data_loss.source_index == oracle.source_index
+                single = evaluate(design, workload, scenario, requirements)
+                assert _without_timings(assessment) == _without_timings(
+                    single
+                ), (name, scenario)
+                cases.add(
+                    "total" if oracle.total_loss else oracle.source_technique
+                )
+        # Every outcome kind is reached: each tape-track level serves
+        # some scenario, and some scenarios are a total loss.
+        assert {"total", "backup", "remote vaulting"} <= cases
+
+    def test_ranges_and_outlays_run_once_per_call(self, baseline):
+        scenarios = [
+            FailureScenario.object_corruption(1 * MB, hours * HOUR)
+            for hours in range(6, 6 * 22, 6)
+        ] + [
+            FailureScenario.array_failure(),
+            FailureScenario.building_disaster(),
+            FailureScenario.site_disaster(),
+        ]
+        assert len(scenarios) == 24
+        ranges = mock.Mock(wraps=level_range)
+        outlays = mock.Mock(wraps=cost.compute_outlays)
+        with mock.patch.object(dataloss, "level_range", ranges), \
+                mock.patch.object(cost, "compute_outlays", outlays), \
+                mock.patch.object(evaluate_module, "compute_outlays", outlays):
+            results = evaluate_scenarios(
+                baseline,
+                cello(),
+                scenarios,
+                casestudy.case_study_requirements(),
+            )
+        assert len(results) == 24
+        assert ranges.call_count == len(baseline.secondary_levels())
+        assert outlays.call_count == 1
+        # Every breakdown owns its outlay dict.
+        breakdowns = [a.costs.outlays_by_technique for a in results.values()]
+        assert len({id(b) for b in breakdowns}) == 24
+        assert all(b == breakdowns[0] for b in breakdowns)
