@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-from ..obs import get_metrics, get_tracer
+from ..obs import get_metrics
 from ..scenarios.requirements import BusinessRequirements
 from ..units import format_money
 from .dataloss import DataLossResult
@@ -111,27 +111,20 @@ def compute_costs(
     ``outlays`` is the design's :func:`compute_outlays`, computed here
     when omitted; the breakdown always holds its own copy.
     """
-    tracer = get_tracer()
-    with tracer.span("cost.compute", design=design.name) as span:
-        outage_penalty = 0.0
-        loss_penalty = 0.0
-        if plan is not None:
-            outage_penalty = requirements.outage_penalty(plan.recovery_time)
-        if loss is not None:
-            if loss.total_loss:
-                loss_penalty = float("inf")
-            else:
-                loss_penalty = requirements.loss_penalty(loss.data_loss)
-        breakdown = CostBreakdown(
-            outlays_by_technique=(
-                compute_outlays(design) if outlays is None else dict(outlays)
-            ),
-            outage_penalty=outage_penalty,
-            loss_penalty=loss_penalty,
-        )
-        span.set(
-            outlays=breakdown.total_outlays,
-            penalties=breakdown.total_penalties,
-        )
-        get_metrics().inc("cost.computations")
-        return breakdown
+    outage_penalty = 0.0
+    loss_penalty = 0.0
+    if plan is not None:
+        outage_penalty = requirements.outage_penalty(plan.recovery_time)
+    if loss is not None:
+        if loss.total_loss:
+            loss_penalty = float("inf")
+        else:
+            loss_penalty = requirements.loss_penalty(loss.data_loss)
+    get_metrics().inc("cost.computations")
+    return CostBreakdown(
+        outlays_by_technique=(
+            compute_outlays(design) if outlays is None else dict(outlays)
+        ),
+        outage_penalty=outage_penalty,
+        loss_penalty=loss_penalty,
+    )

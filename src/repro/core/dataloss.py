@@ -47,28 +47,20 @@ class LevelRange:
 class DataLossResult:
     """Worst-case recent data loss and the level that bounds it.
 
-    ``source_index`` and ``source_technique`` mirror the source level's
-    identity as plain values; they are filled automatically from
-    ``source_level`` and survive serialization (a result restored from
-    the engine's cache has ``source_level=None`` but keeps both).
+    A plain value: the source level is named by ``source_index`` (its
+    position in the design, resolved with
+    :meth:`~repro.core.hierarchy.StorageDesign.level`) and
+    ``source_technique``, both ``None`` on a total loss.  A result
+    computed inline, returned by a pool worker or restored from the
+    engine's cache has the same shape and compares equal.
     """
 
-    source_level: Optional[Level]
     data_loss: float
     total_loss: bool
     target_age: float
     ranges: Tuple[LevelRange, ...]
     source_index: Optional[int] = None
     source_technique: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.source_level is not None:
-            if self.source_index is None:
-                object.__setattr__(self, "source_index", self.source_level.index)
-            if self.source_technique is None:
-                object.__setattr__(
-                    self, "source_technique", self.source_level.technique.name
-                )
 
     @property
     def source_name(self) -> str:
@@ -147,14 +139,14 @@ def find_recovery_source(
         loss = _loss_for_level(level, rng, target_age)
         if loss is not None:
             return DataLossResult(
-                source_level=level,
                 data_loss=loss,
                 total_loss=False,
                 target_age=target_age,
                 ranges=survivor_ranges,
+                source_index=level.index,
+                source_technique=level.technique.name,
             )
     return DataLossResult(
-        source_level=None,
         data_loss=float("inf"),
         total_loss=True,
         target_age=target_age,

@@ -96,11 +96,15 @@ def _prepare(
     utilization = compute_utilization(design, strict=strict_utilization)
     if timed:
         phase_ms["utilization"] = (perf_counter() - t0) * 1e3
+    # The outlays are the cost work worth a span; each scenario's
+    # penalties are two products.
+    with tracer.span("cost.compute", design=design.name):
+        outlays = compute_outlays(design)
     return _NormalMode(
         utilization=utilization,
         warnings=tuple(warnings),
         ranges=design_ranges(design),
-        outlays=compute_outlays(design),
+        outlays=outlays,
         phase_ms=phase_ms,
     )
 
@@ -111,15 +115,18 @@ def _assess(
     scenario: FailureScenario,
     requirements: BusinessRequirements,
     stage: _NormalMode,
+    label: str,
 ) -> Assessment:
-    """Steps 4–6 for one scenario, given the shared normal-mode state."""
+    """Steps 4–6 for one scenario, given the shared normal-mode state.
+
+    ``label`` is ``scenario.describe()``, computed once by the caller.
+    """
     tracer = get_tracer()
     metrics = get_metrics()
     timed = tracer.enabled
     phase_ms: "Dict[str, float]" = dict(stage.phase_ms)
-    metrics.inc("evaluate.assessments")
 
-    with tracer.span("assess", scenario=scenario.describe()) as span:
+    with tracer.span("assess", scenario=label) as span:
         if timed:
             t0 = perf_counter()
         loss = compute_data_loss(
@@ -163,10 +170,9 @@ def _assess(
         )
 
     decisions: "List[str]" = []
-    if loss.source_level is not None:
+    if loss.source_index is not None:
         decisions.append(
-            f"recovery source: {loss.source_name} "
-            f"(level {loss.source_level.index})"
+            f"recovery source: {loss.source_name} (level {loss.source_index})"
         )
     else:
         decisions.append("no usable recovery source: total loss")
@@ -192,15 +198,13 @@ def _assess(
 
     provenance = EvaluationProvenance(
         design_name=design.name,
-        scenario=scenario.describe(),
+        scenario=label,
         scenario_scope=scenario.scope.value,
         recovery_target_age=scenario.recovery_target_age,
         recovery_size=None if plan is None else plan.recovery_size,
         validation_warnings=warnings,
-        recovery_source=None if loss.source_level is None else loss.source_name,
-        recovery_source_level=(
-            None if loss.source_level is None else loss.source_level.index
-        ),
+        recovery_source=loss.source_technique,
+        recovery_source_level=loss.source_index,
         recovery_failure=recovery_failure,
         total_loss=loss.total_loss,
         utilization_driver=_utilization_driver(stage.utilization),
@@ -230,12 +234,13 @@ def evaluate(
 ) -> Assessment:
     """Evaluate one design against one failure scenario."""
     tracer = get_tracer()
-    get_metrics().inc("evaluate.calls")
-    with tracer.span(
-        "evaluate", design=design.name, scenario=scenario.describe()
-    ):
+    metrics = get_metrics()
+    metrics.inc("evaluate.calls")
+    metrics.inc("evaluate.scenarios")
+    label = scenario.describe()
+    with tracer.span("evaluate", design=design.name, scenario=label):
         stage = _prepare(design, workload, strict_utilization)
-        return _assess(design, workload, scenario, requirements, stage)
+        return _assess(design, workload, scenario, requirements, stage, label)
 
 
 def evaluate_scenarios(
@@ -271,6 +276,6 @@ def evaluate_scenarios(
                     f"the label {label!r}; evaluate them separately"
                 )
             results[label] = _assess(
-                design, workload, scenario, requirements, stage
+                design, workload, scenario, requirements, stage, label
             )
         return results

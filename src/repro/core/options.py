@@ -65,11 +65,12 @@ def recovery_options(
         if loss is None:
             continue
         loss_result = DataLossResult(
-            source_level=level,
             data_loss=loss,
             total_loss=False,
             target_age=scenario.recovery_target_age,
             ranges=ranges,
+            source_index=level.index,
+            source_technique=level.technique.name,
         )
         try:
             plan = plan_recovery(design, scenario, workload, loss_result=loss_result)

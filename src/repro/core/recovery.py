@@ -187,15 +187,21 @@ def plan_recovery(
     """Build the worst-case recovery plan for the scenario.
 
     Demands must already be registered (available bandwidths depend on
-    them).  Raises :class:`~repro.exceptions.RecoveryError` when the
-    scenario is unrecoverable.
+    them).  ``loss_result`` is computed when omitted; its
+    ``source_index`` names the source level of ``design``, so a result
+    restored from its serialized form plans alike.  Raises
+    :class:`~repro.exceptions.RecoveryError` when the scenario is
+    unrecoverable.
     """
     tracer = get_tracer()
     metrics = get_metrics()
     timed = metrics.enabled
     if timed:
         t0 = perf_counter()
-    with tracer.span("recovery.plan", scenario=scenario.describe()) as span:
+    # No scenario attribute: the caller's span names the scenario
+    # (``assess`` in an evaluation), and describing it here cost one
+    # more ``describe()`` per plan even with tracing off.
+    with tracer.span("recovery.plan") as span:
         plan = _build_plan(design, scenario, workload, loss_result)
         span.set(
             source=plan.source_name,
@@ -204,7 +210,6 @@ def plan_recovery(
             recovery_time=plan.recovery_time,
         )
     metrics.inc("recovery.plans")
-    metrics.inc("recovery.steps", len(plan.steps))
     if timed:
         metrics.observe("recovery.plan_ms", (perf_counter() - t0) * 1e3)
     return plan
@@ -218,12 +223,12 @@ def _build_plan(
 ) -> RecoveryPlan:
     if loss_result is None:
         loss_result = find_recovery_source(design, scenario)
-    if loss_result.source_level is None:
+    if loss_result.source_index is None:
         raise RecoveryError(
             f"design {design.name!r} has no usable recovery source for "
             f"{scenario.describe()}"
         )
-    source = loss_result.source_level
+    source = design.level(loss_result.source_index)
     failed_ids = {id(d) for d in design.failed_devices(scenario)}
 
     if scenario.scope is FailureScope.DATA_OBJECT:

@@ -12,6 +12,7 @@ vaulting requires backup).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -206,6 +207,10 @@ def candidate_designs(
 ) -> "Dict[str, Callable[[], StorageDesign]]":
     """Expand the space into ``{name: factory}``, structurally pruned.
 
+    Each factory is a :func:`functools.partial` of a module-level
+    builder over frozen choices, so it pickles: a worker process can
+    build the design it evaluates instead of receiving it built.
+
     By default the tape track (PiT + backup + vault) and the mirror
     track are separate families, as in the case study.
     ``include_hybrids=True`` additionally crosses the mirror axis into
@@ -232,23 +237,14 @@ def candidate_designs(
                     if vault is not None:
                         parts.append(vault.label)
                     name = " + ".join(parts)
-
-                    def tape_factory(
-                        pit=pit, backup=backup, vault=vault, links=links,
-                        name=name,
-                    ) -> StorageDesign:
-                        return _build_design(name, pit, backup, vault, links)
-
-                    factories[name] = tape_factory
+                    factories[name] = functools.partial(
+                        _build_design, name, pit, backup, vault, links
+                    )
     for links in space.mirror_link_counts:
         if links is None:
             continue
         name = f"asyncB-{links}link"
-
-        def mirror_factory(links=links, name=name) -> StorageDesign:
-            return _build_design(
-                name, PitChoice("none"), backup=None, vault=None, links=links
-            )
-
-        factories[name] = mirror_factory
+        factories[name] = functools.partial(
+            _build_design, name, PitChoice("none"), None, None, links
+        )
     return factories

@@ -11,10 +11,15 @@ The execution strategy, in order of preference:
 1. **cache** — tasks whose content key has a cached result never run;
 2. **inline** — ``workers <= 1`` (the default), no pool, no pickling:
    exactly the code path the serial callers always had;
-3. **process pool** — tasks are resolved in the parent (design
-   factories are closures and cannot cross a process boundary; the
-   built designs can), chunked to amortize dispatch overhead, and
-   shipped to a reusable :class:`~concurrent.futures.ProcessPoolExecutor`.
+3. **process pool** — the pending tasks are split into one contiguous
+   chunk per worker, each chunk's task list is pickled once, and the
+   bytes go to a reusable
+   :class:`~concurrent.futures.ProcessPoolExecutor`.  A design factory
+   that pickles (the :func:`~repro.design.candidate_designs` factories
+   are :func:`functools.partial` objects) travels as is and the worker
+   builds the design; the parent builds it only when it needs the
+   task's cache key or when a chunk does not pickle.  Results are
+   plain values, so what comes back is small.
 
 Failure handling mirrors the framework's error taxonomy: a task raising
 :class:`~repro.exceptions.ReproError` is a *modeling* outcome (an
@@ -81,8 +86,7 @@ class EngineConfig:
 
     ``task_timeout`` is wall-clock seconds per task, enforced inside
     worker processes (and only meaningful with ``workers > 1`` — inline
-    execution cannot be preempted).  ``chunk_size=None`` picks a chunk
-    size that gives each worker a handful of chunks.
+    execution cannot be preempted).
     """
 
     workers: int = 1
@@ -91,7 +95,6 @@ class EngineConfig:
     task_timeout: Optional[float] = None
     retries: int = 2
     retry_backoff: float = 0.05
-    chunk_size: Optional[int] = None
 
     @property
     def caching(self) -> bool:
@@ -105,7 +108,8 @@ class EvaluationTask:
     The design comes either as a built :class:`StorageDesign` or as a
     zero-argument ``factory`` (the design-space convention: a fresh
     design per evaluation so device demand registries start empty).
-    Factories are resolved in the parent process before dispatch.
+    :meth:`run` builds the design from the factory when the task was
+    not resolved, so a picklable factory is resolved in the worker.
     """
 
     name: str
@@ -117,15 +121,25 @@ class EvaluationTask:
     strict_utilization: bool = True
 
     def resolve(self) -> "EvaluationTask":
-        """The same task with the factory (unpicklable) replaced by the
-        design it builds (picklable)."""
+        """The same task with the factory replaced by the design it builds.
+
+        The engine resolves a task in the parent only when it needs the
+        key (which digests the built design) or when the task's chunk
+        does not pickle; otherwise :meth:`run` builds the design where
+        the task runs.  A factory's :class:`~repro.exceptions.ReproError`
+        is a modeling outcome wherever it is raised.
+        """
+        if self.factory is None and self.design is not None:
+            return self
+        return dataclasses.replace(self, design=self._design(), factory=None)
+
+    def _design(self) -> StorageDesign:
         if self.design is not None:
-            return self if self.factory is None else dataclasses.replace(
-                self, factory=None
-            )
+            return self.design
         if self.factory is None:
             raise EngineError(f"task {self.name!r} has neither design nor factory")
-        return dataclasses.replace(self, design=self.factory(), factory=None)
+        design: StorageDesign = self.factory()
+        return design
 
     def key_payload(self) -> "Dict[str, Any]":
         """The cache-key input (call on a *resolved* task)."""
@@ -139,10 +153,8 @@ class EvaluationTask:
         }
 
     def run(self) -> "Dict[str, Assessment]":
-        if self.design is None:
-            raise EngineError(f"task {self.name!r} was not resolved before run()")
         return evaluate_scenarios(
-            self.design,
+            self._design(),
             self.workload,
             self.scenarios,
             self.requirements,
@@ -275,18 +287,20 @@ def _execute_one_traced(
 
 
 def _execute_chunk(  # lint: worker-boundary
-    tasks: "List[EngineTask]",
+    blob: bytes,
     timeout: Optional[float],
     ctx: Optional[TraceContext] = None,
 ) -> "Tuple[List[Tuple[str, Any, Optional[BaseException], bool]], Optional[TelemetryCapsule]]":
     """The unit of work shipped to a pool worker.
 
+    ``blob`` is the chunk's task list, pickled once by the parent.
     With a :class:`~repro.obs.context.TraceContext`, the worker
     installs a capturing tracer/registry for the chunk and returns
     everything it recorded as a telemetry capsule alongside the rows;
     without one (telemetry off in the parent) capture is skipped
     entirely and the capsule is None.
     """
+    tasks: "List[EngineTask]" = pickle.loads(blob)
     if ctx is None or not ctx.enabled:
         return [_execute_one(task, timeout) for task in tasks], None
     capture = TelemetryCapture(ctx)
@@ -343,20 +357,69 @@ def _discard_pool() -> None:
     shutdown_pool()
 
 
-def _pickles(task: EngineTask) -> bool:
+def _pickled(obj: Any) -> Optional[bytes]:
+    """``pickle.dumps(obj)``, or None when ``obj`` does not pickle."""
     try:
-        pickle.dumps(task)
-        return True
+        return pickle.dumps(obj)
     except Exception:  # lint: allow-broad-except
         # pickle raises anything the object's reduction raises; any
-        # failure means "run this one inline".
-        return False
+        # failure means "this does not cross a process boundary".
+        return None
 
 
-def _chunked(
-    items: "List[Tuple[int, EngineTask]]", size: int
+def _split(
+    items: "List[Tuple[int, EngineTask]]", parts: int
 ) -> "List[List[Tuple[int, EngineTask]]]":
-    return [items[start : start + size] for start in range(0, len(items), size)]
+    """``items`` in ``parts`` contiguous slices whose lengths differ by
+    at most one.  Contiguous slices keep capsule merges in input order."""
+    count = len(items)
+    return [
+        items[count * part // parts : count * (part + 1) // parts]
+        for part in range(parts)
+    ]
+
+
+def _pack(
+    chunk: "List[Tuple[int, EngineTask]]",
+    outcomes: "List[Optional[TaskOutcome]]",
+) -> "Tuple[List[Tuple[int, EngineTask]], bytes, List[Tuple[int, EngineTask]]]":
+    """``(shipped, blob, inline)`` for one chunk.
+
+    Normally the whole task list pickles at once and ships as is.  When
+    it does not (a factory is a closure), every task of the chunk is
+    resolved here: those that pickle with their design built ship, the
+    rest run inline in the parent, and a factory raising
+    :class:`~repro.exceptions.ReproError` becomes its task's outcome.
+    """
+    blob = _pickled([task for _, task in chunk])
+    if blob is not None:
+        return chunk, blob, []
+    shipped: "List[Tuple[int, EngineTask]]" = []
+    inline: "List[Tuple[int, EngineTask]]" = []
+    for index, task in chunk:
+        try:
+            resolved = task.resolve()
+        except ReproError as exc:
+            outcomes[index] = TaskOutcome(name=task.name, error=exc)
+            continue
+        (shipped if _pickled(resolved) is not None else inline).append(
+            (index, resolved)
+        )
+    return shipped, pickle.dumps([task for _, task in shipped]), inline
+
+
+def _run_inline(
+    pending: "List[Tuple[int, EngineTask]]",
+    outcomes: "List[Optional[TaskOutcome]]",
+) -> None:
+    """Run ``(index, task)`` pairs in this process, filling ``outcomes``."""
+    progress = get_progress()
+    for index, task in pending:
+        name, value, error, retryable = _execute_one_traced(task, None)
+        outcomes[index] = TaskOutcome(
+            name=name, value=value, error=error, retryable=retryable
+        )
+        progress.advance(done=1, failed=1 if error is not None else 0)
 
 
 def _retry_inline(
@@ -395,6 +458,7 @@ def _run_pool(
 ) -> None:
     """Execute ``(index, task)`` pairs on the pool, filling ``outcomes``.
 
+    Each worker gets one contiguous chunk, pickled once (:func:`_pack`).
     Tasks in a chunk whose worker dies or whose chunk blows the parent
     budget are retried *individually inline* — correctness first; the
     pool keeps serving the healthy chunks.
@@ -402,16 +466,8 @@ def _run_pool(
     metrics = get_metrics()
     progress = get_progress()
     workers = min(config.workers, len(pending))
-    chunk_size = config.chunk_size
-    if chunk_size is None:
-        # Aim for ~4 chunks per worker so stragglers rebalance.
-        chunk_size = max(1, len(pending) // (workers * 4) or 1)
-    chunks = _chunked(pending, chunk_size)
+    chunks = _split(pending, workers)
     metrics.inc("engine.chunks", len(chunks))
-
-    budget: Optional[float] = None
-    if config.task_timeout is not None:
-        budget = config.task_timeout * chunk_size + 5.0
 
     # One context describes the whole sweep; workers capture telemetry
     # only when the parent has live instruments.
@@ -419,16 +475,30 @@ def _run_pool(
 
     pool = _get_pool(workers)
     futures = []
+    inline: "List[Tuple[int, EngineTask]]" = []
+    unbuilt = 0
     for chunk in chunks:
-        tasks = [task for _, task in chunk]
-        futures.append(
-            (chunk, pool.submit(_execute_chunk, tasks, config.task_timeout, ctx))
-        )
+        shipped, blob, chunk_inline = _pack(chunk, outcomes)
+        inline.extend(chunk_inline)
+        unbuilt += len(chunk) - len(shipped) - len(chunk_inline)
+        if shipped:
+            futures.append(
+                (shipped, pool.submit(_execute_chunk, blob, config.task_timeout, ctx))
+            )
+    if unbuilt:
+        progress.advance(done=unbuilt, failed=unbuilt)
+    if inline:
+        # Runs while the workers do: the parent is idle until then.
+        metrics.inc("engine.tasks_inline", len(inline))
+        _run_inline(inline, outcomes)
 
     # Futures are consumed in submission order (= input order), so
     # capsule merges — and therefore gauge last-writes and the merged
     # span skeleton — are deterministic and match a serial run.
     for chunk, future in futures:
+        budget: Optional[float] = None
+        if config.task_timeout is not None:
+            budget = config.task_timeout * len(chunk) + 5.0
         try:
             rows, capsule = future.result(timeout=budget)
         except (BrokenProcessPool, FutureTimeoutError, OSError) as exc:
@@ -541,9 +611,14 @@ def map_evaluations(
         resolve_failures = 0
         # Keys are needed by the cache and by the run observatory's
         # task log (which joins two runs' work items by content key),
-        # so they are computed whenever either consumer is live.
+        # so they are computed whenever either consumer is live.  A key
+        # digests the built design, so only then is a factory resolved
+        # here; otherwise the task is built where it runs.
         want_keys = cache is not None or task_log.enabled
         for index, task in enumerate(tasks):
+            if not want_keys:
+                pending.append((index, task))
+                continue
             try:
                 resolved = task.resolve()
             except ReproError as exc:
@@ -552,22 +627,21 @@ def map_evaluations(
                 outcomes[index] = TaskOutcome(name=task.name, error=exc)
                 resolve_failures += 1
                 continue
-            if want_keys:
-                try:
-                    key = task_key(resolved.key_payload(), memo)
-                except CacheKeyError:
-                    metrics.inc("engine.cache.unkeyable")
-                    key = None
-                if key is not None:
-                    keys[index] = key
-                    if cache is not None:
-                        hit, value = cache.get(key)
-                        if hit:
-                            outcomes[index] = TaskOutcome(
-                                name=task.name, value=value, cached=True
-                            )
-                            cache_hits += 1
-                            continue
+            try:
+                key = task_key(resolved.key_payload(), memo)
+            except CacheKeyError:
+                metrics.inc("engine.cache.unkeyable")
+                key = None
+            if key is not None:
+                keys[index] = key
+                if cache is not None:
+                    hit, value = cache.get(key)
+                    if hit:
+                        outcomes[index] = TaskOutcome(
+                            name=task.name, value=value, cached=True
+                        )
+                        cache_hits += 1
+                        continue
             pending.append((index, resolved))
         if cache_hits or resolve_failures:
             progress.advance(
@@ -578,33 +652,9 @@ def map_evaluations(
 
         if pending:
             if config.workers <= 1:
-                for index, resolved in pending:
-                    name, value, error, retryable = _execute_one_traced(
-                        resolved, None
-                    )
-                    outcomes[index] = TaskOutcome(
-                        name=name, value=value, error=error, retryable=retryable
-                    )
-                    progress.advance(done=1, failed=1 if error is not None else 0)
+                _run_inline(pending, outcomes)
             else:
-                parallel: "List[Tuple[int, EngineTask]]" = []
-                inline: "List[Tuple[int, EngineTask]]" = []
-                for pair in pending:
-                    (parallel if _pickles(pair[1]) else inline).append(pair)
-                if inline:
-                    metrics.inc("engine.tasks_inline", len(inline))
-                    for index, resolved in inline:
-                        name, value, error, retryable = _execute_one_traced(
-                            resolved, None
-                        )
-                        outcomes[index] = TaskOutcome(
-                            name=name, value=value, error=error, retryable=retryable
-                        )
-                        progress.advance(
-                            done=1, failed=1 if error is not None else 0
-                        )
-                if parallel:
-                    _run_pool(parallel, config, outcomes)
+                _run_pool(pending, config, outcomes)
 
         if cache is not None:
             for index, outcome in enumerate(outcomes):

@@ -12,10 +12,10 @@ declared with the :func:`rule` decorator::
 Rules are pure queries: they never mutate the design (the one rule that
 needs the demand ledger snapshots and restores it) and never evaluate.
 :func:`run_rules` executes a selected (or every) rule against a context,
-emitting the ``lint.rules_run`` metric and a ``lint.rules`` tracer span
-through :mod:`repro.obs`.  Per-severity ``lint.diagnostics.<severity>``
-counters are emitted by the engine over the *reported* set (after
-``lint.expect`` suppression), so the metrics always match the output.
+emitting the ``lint.rules_run`` metric through :mod:`repro.obs`.
+Per-severity ``lint.diagnostics.<severity>`` counters are emitted by
+the engine over the *reported* set (after ``lint.expect``
+suppression), so the metrics always match the output.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import (
     Tuple,
 )
 
-from ..obs import get_metrics, get_tracer
+from ..obs import get_metrics
 from .diagnostics import Diagnostic, LintError, Severity
 
 RuleFunction = Callable[["RuleContext"], Iterable[Diagnostic]]
@@ -150,13 +150,11 @@ def run_rules(
                 raise LintError(f"unknown rule code {code!r}") from None
             if info.function is not None:
                 selected.append(info)
-    tracer = get_tracer()
-    metrics = get_metrics()
+    # No span of its own: both callers (``validate`` and ``lint.file``)
+    # time the rule run inside theirs.
     diagnostics: "List[Diagnostic]" = []
-    with tracer.span("lint.rules", rules=len(selected)) as span:
-        for info in selected:
-            assert info.function is not None  # filtered above
-            metrics.inc("lint.rules_run")
-            diagnostics.extend(info.function(context))
-        span.set(diagnostics=len(diagnostics))
+    for info in selected:
+        assert info.function is not None  # filtered above
+        diagnostics.extend(info.function(context))
+    get_metrics().inc("lint.rules_run", len(selected))
     return diagnostics

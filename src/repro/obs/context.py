@@ -107,7 +107,7 @@ class TelemetryCapsule:
     """Everything one worker recorded while executing one task chunk.
 
     ``packed_spans`` are the worker tracer's root spans in the compact
-    tuple form of :func:`~repro.obs.spans.pack_span` — pickling
+    columnar form of :func:`~repro.obs.spans.pack_span` — pickling
     primitives keeps the per-chunk transport cost off the sweep's
     critical path.  Times stay relative to the worker's capture epoch
     until :func:`merge_capsule` rebases them.  ``metrics`` is the

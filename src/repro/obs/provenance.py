@@ -153,11 +153,7 @@ def _explain_data_loss(assessment, provenance) -> str:
             "data loss = total: no surviving level retains an RP usable "
             f"for a recovery target {format_duration(loss.target_age)} old"
         )
-    # The index survives serialization even when the live Level doesn't,
-    # so cache-restored assessments explain identically.
-    source_index = getattr(loss, "source_index", None)
-    if source_index is None and loss.source_level is not None:
-        source_index = loss.source_level.index
+    source_index = loss.source_index
     detail = ""
     if source_index is not None:
         for rng in loss.ranges:

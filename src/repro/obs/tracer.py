@@ -125,8 +125,10 @@ class Tracer:
         The returned :class:`Span` is bound to this tracer and records
         itself on ``with``-entry; the kwargs dict is fresh per call, so
         the span owns it outright (no defensive copy on the hot path).
+        Arguments go positionally: keyword parsing is a measurable share
+        of a span's cost.
         """
-        return Span(name, attributes=attributes, tracer=self)
+        return Span(name, 0.0, None, attributes, None, "ok", None, None, self)
 
     def adopt(self, spans: "Iterable[Span]", shift: float = 0.0) -> None:
         """Attach externally-recorded span trees to this tracer.

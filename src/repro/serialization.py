@@ -673,7 +673,7 @@ def utilization_from_dict(data: Mapping[str, Any]) -> SystemUtilization:
 
 
 def data_loss_to_dict(loss: DataLossResult) -> "Dict[str, Any]":
-    """A data-loss result with the source level flattened to its identity."""
+    """A data-loss result as a JSON-able dict."""
     return {
         "source_index": loss.source_index,
         "source_technique": loss.source_technique,
@@ -693,10 +693,8 @@ def data_loss_to_dict(loss: DataLossResult) -> "Dict[str, Any]":
 
 
 def data_loss_from_dict(data: Mapping[str, Any]) -> DataLossResult:
-    """Rebuild a data-loss result (``source_level`` itself is not
-    restorable — the identity fields carry its name and index)."""
+    """Rebuild a data-loss result; it equals the one that was encoded."""
     return DataLossResult(
-        source_level=None,
         data_loss=data["data_loss"],
         total_loss=data["total_loss"],
         target_age=data["target_age"],

@@ -1,6 +1,9 @@
 """The evaluation engine: keys, cache tiers, executor, sweeps."""
 
+import io
 import json
+import os
+import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -19,6 +22,8 @@ from repro.engine import (
     shutdown_pool,
     task_key,
 )
+from repro.core.hierarchy import Level, StorageDesign
+from repro.devices.base import Device
 from repro.engine.cache import DiskCache
 from repro.engine.sweep import evaluate_design_map, evaluate_scenarios_cached
 from repro.exceptions import CacheKeyError, ReproError
@@ -478,3 +483,160 @@ class TestOptimizeParity:
             e.objective for e in parallel.ranking
         ]
         assert serial.best.name == parallel.best.name
+
+
+def _unbuildable_design():
+    """A picklable factory that fails like an infeasible candidate."""
+    raise ReproError("cannot build this candidate")
+
+
+def _design_named_by_builder():
+    """A picklable factory whose design records the process building it."""
+    design = casestudy.baseline_design()
+    design.name = f"built-in-{os.getpid()}"
+    return design
+
+
+class _ClassRecorder(pickle.Unpickler):
+    """Unpickles a blob, recording every class it names."""
+
+    def __init__(self, blob):
+        super().__init__(io.BytesIO(blob))
+        self.classes = []
+
+    def find_class(self, module, name):
+        found = super().find_class(module, name)
+        self.classes.append(found)
+        return found
+
+
+def _tasks(designs, workload, scenarios, requirements):
+    return [
+        EvaluationTask(
+            name=name,
+            workload=workload,
+            scenarios=tuple(scenarios),
+            requirements=requirements,
+            factory=factory,
+        )
+        for name, factory in designs.items()
+    ]
+
+
+class TestPlainValueResults:
+    def test_serial_pooled_and_cache_restored_results_are_equal(
+        self, tmp_path, workload, scenarios, requirements
+    ):
+        designs = candidate_designs(DesignSpace())
+        assert len(designs) == 16
+        serial = evaluate_design_map(designs, workload, scenarios, requirements)
+        pooled = evaluate_design_map(
+            designs, workload, scenarios, requirements,
+            config=EngineConfig(workers=2),
+        )
+        config = EngineConfig(cache_dir=str(tmp_path))
+        evaluate_design_map(designs, workload, scenarios, requirements, config=config)
+        restored = evaluate_design_map(
+            designs, workload, scenarios, requirements, config=config
+        )
+        assert all(outcome.cached for outcome in restored.values())
+        for name in designs:
+            assert len(serial[name].value) == len(scenarios)
+            assert serial[name].value == pooled[name].value
+            assert serial[name].value == restored[name].value
+
+    def test_pooled_results_carry_no_live_model_objects(
+        self, workload, scenarios, requirements
+    ):
+        designs = candidate_designs(DesignSpace())
+        outcomes = map_evaluations(
+            _tasks(designs, workload, scenarios, requirements),
+            EngineConfig(workers=2),
+        )
+        for outcome in outcomes:
+            recorder = _ClassRecorder(pickle.dumps(outcome.value))
+            recorder.load()
+            assert recorder.classes
+            for cls in recorder.classes:
+                assert not cls.__module__.startswith("repro.techniques")
+                # repro.devices.base also defines the utilization report
+                # values; no live device may travel.
+                assert not issubclass(cls, (Device, Level, StorageDesign))
+
+
+class TestWorkerSideResolve:
+    def test_candidate_factories_pickle(self):
+        for name, factory in candidate_designs(
+            DesignSpace(), include_hybrids=True
+        ).items():
+            rebuilt = pickle.loads(pickle.dumps(factory))
+            assert rebuilt().name == name
+            assert fingerprint(rebuilt()) == fingerprint(factory())
+
+    def test_picklable_factories_build_in_the_worker(
+        self, workload, scenarios, requirements
+    ):
+        tasks = [
+            EvaluationTask(
+                name=f"task-{n}",
+                workload=workload,
+                scenarios=tuple(scenarios),
+                requirements=requirements,
+                factory=_design_named_by_builder,
+            )
+            for n in range(2)
+        ]
+        outcomes = map_evaluations(tasks, EngineConfig(workers=2))
+        for outcome in outcomes:
+            assert outcome.ok
+            for assessment in outcome.value.values():
+                assert assessment.design_name != f"built-in-{os.getpid()}"
+
+    def test_factory_model_error_matches_serial(
+        self, workload, scenarios, requirements
+    ):
+        designs = {
+            "baseline": casestudy.baseline_design,
+            "unbuildable": _unbuildable_design,
+        }
+        tasks = _tasks(designs, workload, scenarios, requirements)
+        serial = map_evaluations(tasks)
+        pooled = map_evaluations(
+            tasks, EngineConfig(workers=2, retries=3, retry_backoff=0.001)
+        )
+        for outcome in (serial[1], pooled[1]):
+            assert isinstance(outcome.error, ReproError)
+            assert str(outcome.error) == "cannot build this candidate"
+            assert outcome.attempts == 1 and not outcome.retryable
+        assert serial[0].value == pooled[0].value
+
+    def test_closure_factories_still_evaluate(
+        self, workload, scenarios, requirements
+    ):
+        def closure(build=casestudy.weekly_vault_design):
+            return build()
+
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(closure)
+        designs = {"weekly": closure, "baseline": casestudy.baseline_design}
+        serial = evaluate_design_map(designs, workload, scenarios, requirements)
+        pooled = evaluate_design_map(
+            designs, workload, scenarios, requirements,
+            config=EngineConfig(workers=2),
+        )
+        for name in designs:
+            assert pooled[name].ok
+            assert pooled[name].value == serial[name].value
+
+    def test_one_contiguous_chunk_per_worker(
+        self, workload, scenarios, requirements
+    ):
+        designs = candidate_designs(DesignSpace())
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            outcomes = map_evaluations(
+                _tasks(designs, workload, scenarios, requirements),
+                EngineConfig(workers=2),
+            )
+        assert registry.snapshot()["counters"]["engine.chunks"] == 2
+        assert [outcome.name for outcome in outcomes] == list(designs)

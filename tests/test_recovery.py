@@ -3,13 +3,14 @@
 import pytest
 
 from repro import casestudy
-from repro.core import StorageDesign, plan_recovery
+from repro.core import StorageDesign, find_recovery_source, plan_recovery
 from repro.core.demands import register_design_demands
 from repro.devices import SpareConfig
 from repro.devices.catalog import midrange_disk_array, oc3_links
 from repro.exceptions import RecoveryError
 from repro.scenarios import FailureScenario
 from repro.scenarios.locations import PRIMARY_SITE, REMOTE_SITE
+from repro.serialization import data_loss_from_dict, data_loss_to_dict
 from repro.techniques import BatchedAsyncMirror, PrimaryCopy
 from repro.units import GB, HOUR, MB
 from repro.workload.presets import cello
@@ -170,3 +171,20 @@ class TestRecoveryErrors:
         scenario = FailureScenario.object_corruption(1 * MB, "20 yr")
         with pytest.raises(RecoveryError):
             plan_recovery(baseline, scenario, workload)
+
+
+class TestRestoredLossResult:
+    def test_restored_data_loss_result_plans_like_the_original(
+        self, baseline, workload
+    ):
+        # Regression: a data-loss result names its source by index, so
+        # one restored from its dictionary form must plan like the
+        # original instead of being refused as having no source.
+        scenario = casestudy.case_study_scenarios()[0]
+        loss = find_recovery_source(baseline, scenario)
+        restored = data_loss_from_dict(data_loss_to_dict(loss))
+        assert restored == loss
+        assert restored.source_index == 1
+        assert plan_recovery(
+            baseline, scenario, workload, loss_result=restored
+        ) == plan_recovery(baseline, scenario, workload, loss_result=loss)
